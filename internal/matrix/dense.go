@@ -240,6 +240,30 @@ func (m *Dense) MulVecTo(dst, x []float64) {
 	}
 }
 
+// MulVecPrefixTo computes m·[x; 0] into dst: the product with x padded by
+// zeros to m.Cols(), reading only the leading len(x) columns. It is
+// bit-identical to MulVecTo on the padded vector — that kernel sums left to
+// right from +0, a sum that never becomes −0, and each skipped term is v·0 =
+// ±0, which leaves a sum unchanged (for finite m) — and allocates nothing.
+// dst must have length m.Rows() and must not alias x.
+func (m *Dense) MulVecPrefixTo(dst, x []float64) {
+	if len(x) > m.cols {
+		panic(fmt.Sprintf("matrix: cannot multiply %dx%d by a %d-element prefix", m.rows, m.cols, len(x)))
+	}
+	if len(dst) != m.rows {
+		panic(fmt.Sprintf("matrix: MulVecPrefixTo destination length %d, want %d", len(dst), m.rows))
+	}
+	k := len(x)
+	for i := 0; i < m.rows; i++ {
+		row := m.data[i*m.cols : i*m.cols+k]
+		var s float64
+		for j, v := range row {
+			s += v * x[j]
+		}
+		dst[i] = s
+	}
+}
+
 // Transpose returns mᵀ.
 func (m *Dense) Transpose() *Dense {
 	t := New(m.cols, m.rows)

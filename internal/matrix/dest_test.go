@@ -45,6 +45,38 @@ func TestPropMulVecToBitIdenticalToMulVec(t *testing.T) {
 	}
 }
 
+// The prefix product is the full product of the zero-padded vector, bit for
+// bit — including matrices with negative entries, whose v·0 terms are −0.
+func TestPropMulVecPrefixToBitIdenticalToPaddedMulVec(t *testing.T) {
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		rows, cols := 1+r.Intn(40), 1+r.Intn(40)
+		m := randomDense(r, rows, cols)
+		k := r.Intn(cols + 1)
+		padded := randomVec(r, cols)
+		for j := k; j < cols; j++ {
+			padded[j] = 0
+		}
+		dst := randomVec(r, rows) // stale garbage must be fully overwritten
+		m.MulVecPrefixTo(dst, padded[:k])
+		return bitIdentical(dst, m.MulVec(padded))
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+		t.Error(err)
+	}
+	m := New(2, 3)
+	for _, bad := range [][2]int{{2, 4}, {1, 2}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("MulVecPrefixTo(dst %d, x %d) on 2x3 did not panic", bad[0], bad[1])
+				}
+			}()
+			m.MulVecPrefixTo(make([]float64, bad[0]), make([]float64, bad[1]))
+		}()
+	}
+}
+
 func TestPropVecSubToBitIdenticalToVecSub(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))

@@ -35,6 +35,17 @@ type RingEvaluator struct {
 	z     []float64   // Horner accumulator of the periodic forcing
 	u     []float64   // periodic-steady-state eigenstate
 	coreT []float64   // core temperatures at one epoch boundary
+
+	// Response-table path (ringtable.go). binvT row j is column j of the
+	// n×n core block of B⁻¹: the core rises per watt on core j. The table
+	// cache and the background memo are scratch like the rest.
+	binvT       *matrix.Dense
+	tables      []ringTable
+	tableFloats int       // total length of the cached tables' g
+	bgBase      []float64 // base vector bgFull was computed for
+	bgFull      []float64 // B⁻¹_cc·bgBase, K above ambient
+	bgValid     bool
+	bg          []float64 // bgFull without the evaluated ring's cores
 }
 
 // NewRingEvaluator precomputes the design-time constants. Against a
@@ -57,18 +68,25 @@ func (c *Calculator) NewRingEvaluator() *RingEvaluator {
 		}
 	}
 	vCore := matrix.New(n, N)
+	binvT := matrix.New(n, n)
 	for i := 0; i < n; i++ {
 		for k := 0; k < N; k++ {
 			vCore.Set(i, k, c.v.At(i, k))
 		}
+		for j := 0; j < n; j++ {
+			binvT.Set(j, i, c.binv.At(i, j))
+		}
 	}
 	return &RingEvaluator{
-		c: c, wT: wT, vCore: vCore,
-		decay: make([]float64, N),
-		yBase: make([]float64, N),
-		z:     make([]float64, N),
-		u:     make([]float64, N),
-		coreT: make([]float64, n),
+		c: c, wT: wT, vCore: vCore, binvT: binvT,
+		decay:  make([]float64, N),
+		yBase:  make([]float64, N),
+		z:      make([]float64, N),
+		u:      make([]float64, N),
+		coreT:  make([]float64, n),
+		bgBase: make([]float64, n),
+		bgFull: make([]float64, n),
+		bg:     make([]float64, n),
 	}
 }
 
@@ -82,22 +100,8 @@ func (e *RingEvaluator) PeakRingRotation(tau float64, base []float64, ringCores 
 	n := c.n
 	N := c.nNodes
 	size := len(ringCores)
-	if tau <= 0 {
-		return 0, fmt.Errorf("rotation: epoch length τ must be positive, got %g", tau)
-	}
-	if len(base) != n {
-		return 0, fmt.Errorf("rotation: base power has %d cores, want %d", len(base), n)
-	}
-	if size == 0 {
-		return 0, fmt.Errorf("rotation: empty ring")
-	}
-	if len(slotWatts) != size {
-		return 0, fmt.Errorf("rotation: %d slot powers for ring of %d cores", len(slotWatts), size)
-	}
-	for _, cr := range ringCores {
-		if cr < 0 || cr >= n {
-			return 0, fmt.Errorf("rotation: ring core %d out of range", cr)
-		}
+	if err := e.checkRing(tau, base, ringCores, slotWatts); err != nil {
+		return 0, err
 	}
 	if e.wT == nil {
 		// Sparse-mode fallback: materialize the ring schedule as a Plan and
@@ -196,4 +200,27 @@ func (e *RingEvaluator) PeakRingRotation(tau float64, base []float64, ringCores 
 		}
 	}
 	return peak + ambient, nil
+}
+
+// checkRing validates the inputs of a ring evaluation.
+func (e *RingEvaluator) checkRing(tau float64, base []float64, ringCores []int, slotWatts []float64) error {
+	n := e.c.n
+	if tau <= 0 {
+		return fmt.Errorf("rotation: epoch length τ must be positive, got %g", tau)
+	}
+	if len(base) != n {
+		return fmt.Errorf("rotation: base power has %d cores, want %d", len(base), n)
+	}
+	if len(ringCores) == 0 {
+		return fmt.Errorf("rotation: empty ring")
+	}
+	if len(slotWatts) != len(ringCores) {
+		return fmt.Errorf("rotation: %d slot powers for ring of %d cores", len(slotWatts), len(ringCores))
+	}
+	for _, cr := range ringCores {
+		if cr < 0 || cr >= n {
+			return fmt.Errorf("rotation: ring core %d out of range", cr)
+		}
+	}
+	return nil
 }

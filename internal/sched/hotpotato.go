@@ -70,6 +70,18 @@ type HotPotato struct {
 	estimator          RingPeakEstimator
 	estimatorHits      int
 	estimatorFallbacks int
+
+	// live indexes the current decision's threads by ID; refilled by
+	// every Decide rather than reallocated.
+	live map[sim.ThreadID]sim.ThreadInfo
+
+	// Scratch of the Algorithm 1 verdict (safe), reused across calls so a
+	// verdict allocates nothing once the ring tables are cached.
+	ringOccupied []bool
+	base         []float64 // averaged background power per core
+	slotWatts    []float64 // slot powers of the ring being evaluated
+	staticPower  []float64 // pinned per-core power of the static check
+	steady       []float64 // node steady state of the static check
 }
 
 type slotEntry struct {
@@ -140,14 +152,23 @@ func NewHotPotato(plat *sim.Platform, tdtm float64, opts ...HotPotatoOption) *Ho
 		tau:            0.5e-3,
 		rotate:         true,
 		place:          map[sim.ThreadID]slotRef{},
+		live:           map[sim.ThreadID]sim.ThreadInfo{},
 		rebalanceEvery: 5e-3,
 		powerScale:     1,
 		idleWatts:      plat.Power.IdleWatts,
 	}
 	h.slots = make([][]slotEntry, len(rings))
+	maxRing := 0
 	for r, ring := range rings {
 		h.slots[r] = make([]slotEntry, len(ring.Cores))
+		maxRing = max(maxRing, len(ring.Cores))
 	}
+	n := plat.NumCores()
+	h.ringOccupied = make([]bool, len(rings))
+	h.base = make([]float64, n)
+	h.slotWatts = make([]float64, 0, maxRing)
+	h.staticPower = make([]float64, n)
+	h.steady = make([]float64, plat.Thermal.NumNodes())
 	for _, o := range opts {
 		o(h)
 	}
@@ -166,7 +187,11 @@ func (h *HotPotato) Rotating() bool { return h.rotate }
 // Decide implements sim.Scheduler.
 func (h *HotPotato) Decide(st *sim.State) sim.Decision {
 	h.advanceRotation(st.Time)
-	live := liveSet(st)
+	clear(h.live)
+	for _, th := range st.Threads {
+		h.live[th.ID] = th
+	}
+	live := h.live
 
 	// Departures free slots and create headroom (Algorithm 2 line 15).
 	departed := false
@@ -178,15 +203,19 @@ func (h *HotPotato) Decide(st *sim.State) sim.Decision {
 		}
 	}
 
-	// Admissions (Algorithm 2 lines 1–14), gang FIFO per task.
+	// Admissions (Algorithm 2 lines 1–14), gang FIFO per task. On a full
+	// chip the first group already fails the slot check, so the queue is
+	// not grouped at all.
 	arrived := false
-	for _, group := range queuedTasks(st) {
-		if h.freeSlotCount() < len(group.threads) {
-			break
-		}
-		for _, th := range group.threads {
-			h.placeThread(st, live, th)
-			arrived = true
+	if h.freeSlotCount() > 0 {
+		for _, group := range queuedTasks(st) {
+			if h.freeSlotCount() < len(group.threads) {
+				break
+			}
+			for _, th := range group.threads {
+				h.placeThread(st, live, th)
+				arrived = true
+			}
 		}
 	}
 
@@ -291,7 +320,7 @@ func (h *HotPotato) placeThread(st *sim.State, live map[sim.ThreadID]sim.ThreadI
 		}
 		h.slots[r][slot] = slotEntry{id: th.ID, used: true}
 		h.place[th.ID] = slotRef{r, slot}
-		if h.evalPeak(st, live)+0 < h.tdtm-h.delta {
+		if h.safe(st, live) {
 			return
 		}
 		h.slots[r][slot] = slotEntry{}
@@ -323,7 +352,7 @@ func (h *HotPotato) placeThread(st *sim.State, live map[sim.ThreadID]sim.ThreadI
 // is safe or no move helps (Algorithm 2 lines 8–11).
 func (h *HotPotato) pushOutward(st *sim.State, live map[sim.ThreadID]sim.ThreadInfo) {
 	for guard := 0; guard < 16; guard++ {
-		if h.evalPeak(st, live) < h.tdtm-h.delta {
+		if h.safe(st, live) {
 			return
 		}
 		type cand struct {
@@ -376,7 +405,7 @@ func (h *HotPotato) tighten(st *sim.State, live map[sim.ThreadID]sim.ThreadInfo)
 		h.rotate = true
 		h.tau = h.tauInit
 	}
-	for h.tau > h.tauMin && h.evalPeak(st, live) >= h.tdtm-h.delta {
+	for h.tau > h.tauMin && !h.safe(st, live) {
 		h.tau /= 2
 		if h.tau < h.tauMin {
 			h.tau = h.tauMin
@@ -389,7 +418,7 @@ func (h *HotPotato) tighten(st *sim.State, live map[sim.ThreadID]sim.ThreadInfo)
 func (h *HotPotato) rebalance(st *sim.State, live map[sim.ThreadID]sim.ThreadInfo) {
 	// Promotions: highest CPI first (most to gain from a low-AMD ring).
 	for guard := 0; guard < 16; guard++ {
-		if h.evalPeak(st, live) >= h.tdtm-h.delta {
+		if !h.safe(st, live) {
 			break
 		}
 		type cand struct {
@@ -419,7 +448,7 @@ func (h *HotPotato) rebalance(st *sim.State, live map[sim.ThreadID]sim.ThreadInf
 				h.slots[ref.ring][ref.slot] = slotEntry{}
 				h.slots[r][slot] = slotEntry{id: c.id, used: true}
 				h.place[c.id] = slotRef{r, slot}
-				if h.evalPeak(st, live) < h.tdtm-h.delta {
+				if h.safe(st, live) {
 					promoted = true
 					break
 				}
@@ -439,7 +468,7 @@ func (h *HotPotato) rebalance(st *sim.State, live map[sim.ThreadID]sim.ThreadInf
 
 	// τ relaxation (lines 23–27): slower rotation means fewer migrations;
 	// stop rotating entirely when static placement is safe.
-	if h.evalPeak(st, live) >= h.tdtm-h.delta {
+	if !h.safe(st, live) {
 		h.tighten(st, live)
 		return
 	}
@@ -454,57 +483,58 @@ func (h *HotPotato) rebalance(st *sim.State, live map[sim.ThreadID]sim.ThreadInf
 		}
 		old := h.tau
 		h.tau = next
-		if h.evalPeak(st, live) >= h.tdtm-h.delta {
+		if !h.safe(st, live) {
 			h.tau = old
 			break
 		}
 	}
 }
 
-// evalPeak estimates the rotation's steady-periodic peak temperature with
-// Algorithm 1: each occupied ring is evaluated rotating explicitly while the
-// other rings contribute their time-averaged power; the worst ring wins.
-func (h *HotPotato) evalPeak(st *sim.State, live map[sim.ThreadID]sim.ThreadInfo) float64 {
+// safe is Algorithm 1's verdict on the current configuration: whether its
+// steady-periodic peak stays strictly below T_DTM − Δ, the only question
+// every caller asks. Each occupied ring is evaluated rotating explicitly
+// while the other rings contribute their time-averaged power; the scan stops
+// at the first unsafe ring. The ring verdict comes from the twin pre-filter
+// when one is installed and conclusive, else from the evaluator's response
+// table with its exact fallback near the threshold (RingBelow) — the same
+// verdict as comparing PeakRingRotation's peak with the threshold.
+func (h *HotPotato) safe(st *sim.State, live map[sim.ThreadID]sim.ThreadInfo) bool {
+	limit := h.tdtm - h.delta
 	if !h.rotate {
-		return h.evalStaticPeak(st, live)
+		return h.evalStaticPeak(st, live) < limit
 	}
-	n := st.Platform.NumCores()
+	if !(h.calc.Model().Ambient() < limit) {
+		return false
+	}
 	idle := st.Platform.Power.IdleWatts
 
-	// Ring means for the averaged background.
-	ringMean := make([]float64, len(h.rings))
-	ringOccupied := make([]bool, len(h.rings))
-	for r, ring := range h.rings {
-		total := 0.0
-		for i := range h.slots[r] {
-			if h.slots[r][i].used {
-				total += h.threadPower(live, h.slots[r][i].id)
-				ringOccupied[r] = true
-			} else {
-				total += idle
-			}
-		}
-		ringMean[r] = total / float64(len(ring.Cores))
-	}
-
 	// Constant background: every ring contributes its time-averaged power.
-	base := make([]float64, n)
+	base := h.base
 	for i := range base {
 		base[i] = idle
 	}
 	for r, ring := range h.rings {
+		total := 0.0
+		h.ringOccupied[r] = false
+		for i := range h.slots[r] {
+			if h.slots[r][i].used {
+				total += h.threadPower(live, h.slots[r][i].id)
+				h.ringOccupied[r] = true
+			} else {
+				total += idle
+			}
+		}
+		mean := total / float64(len(ring.Cores))
 		for _, c := range ring.Cores {
-			base[c] = ringMean[r]
+			base[c] = mean
 		}
 	}
 
-	peak := h.calc.Model().Ambient()
-	slotWatts := make([]float64, 0, 32)
 	for r, ring := range h.rings {
-		if !ringOccupied[r] {
+		if !h.ringOccupied[r] {
 			continue
 		}
-		slotWatts = slotWatts[:0]
+		slotWatts := h.slotWatts[:0]
 		for _, entry := range h.slots[r] {
 			w := idle
 			if entry.used {
@@ -512,35 +542,30 @@ func (h *HotPotato) evalPeak(st *sim.State, live map[sim.ThreadID]sim.ThreadInfo
 			}
 			slotWatts = append(slotWatts, w)
 		}
-		// Twin pre-filter: every caller of evalPeak compares the result only
-		// against the decision threshold T_DTM − Δ, so a conclusive estimate
-		// that bounds this ring strictly under (est+bound) or at/over
-		// (est−bound) the threshold can stand in for the exact evaluation
-		// without changing any decision. Inconclusive or straddling answers
-		// fall back to Algorithm 1 — the default, and the bit-identical path.
+		// Twin pre-filter: a conclusive estimate that bounds this ring
+		// strictly under (est+bound) or at/over (est−bound) the threshold
+		// stands in for the exact evaluation without changing the verdict.
+		// Inconclusive or straddling answers fall back to Algorithm 1 — the
+		// default, and the bit-identical path.
 		if h.estimator != nil {
-			limit := h.tdtm - h.delta
 			est, bound, ok := h.estimator.EstimateRingPeak(h.tau, base, ring.Cores, slotWatts)
-			if ok && (est+bound < limit || est-bound >= limit) {
+			if ok && est+bound < limit {
 				h.estimatorHits++
-				if est > peak {
-					peak = est
-				}
 				continue
+			}
+			if ok && est-bound >= limit {
+				h.estimatorHits++
+				return false
 			}
 			h.estimatorFallbacks++
 		}
-		t, err := h.ringEval.PeakRingRotation(h.tau, base, ring.Cores, slotWatts)
-		if err != nil {
-			// An invalid plan here is a programming error; fail safe by
-			// reporting an unsafe temperature.
-			return math.Inf(1)
-		}
-		if t > peak {
-			peak = t
+		below, err := h.ringEval.RingBelow(h.tau, base, ring.Cores, slotWatts, limit)
+		if err != nil || !below {
+			// An invalid plan here is a programming error; fail safe.
+			return false
 		}
 	}
-	return peak
+	return true
 }
 
 // EstimatorStats reports how many per-ring evaluations the twin pre-filter
@@ -552,9 +577,8 @@ func (h *HotPotato) EstimatorStats() (hits, fallbacks int) {
 // evalStaticPeak is the non-rotating (τ stopped) safety check: the
 // steady-state peak of the pinned assignment.
 func (h *HotPotato) evalStaticPeak(st *sim.State, live map[sim.ThreadID]sim.ThreadInfo) float64 {
-	n := st.Platform.NumCores()
 	idle := st.Platform.Power.IdleWatts
-	p := make([]float64, n)
+	p := h.staticPower
 	for i := range p {
 		p[i] = idle
 	}
@@ -566,8 +590,8 @@ func (h *HotPotato) evalStaticPeak(st *sim.State, live map[sim.ThreadID]sim.Thre
 		}
 		p[cores[idx]] = h.threadPower(live, id)
 	}
-	ss := h.calc.Model().SteadyState(p)
-	return h.calc.Model().MaxCoreTemp(ss)
+	h.calc.Model().SteadyStateTo(h.steady, p)
+	return h.calc.Model().MaxCoreTemp(h.steady)
 }
 
 // threadPower is the Algorithm 1 power estimate for a thread: its 10 ms

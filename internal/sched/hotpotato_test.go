@@ -337,3 +337,100 @@ func TestPropHotPotatoAssignmentAlwaysValid(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// fullLoad8x8 is a default 8×8 HotPotato with all 64 threads placed by one
+// Decide, and the scheduler view it decided on.
+func fullLoad8x8(t *testing.T) (*HotPotato, *sim.State, map[sim.ThreadID]sim.ThreadInfo) {
+	t.Helper()
+	plat := testPlatform(t, 8, 8)
+	hp := NewHotPotato(plat, 70)
+	r := rand.New(rand.NewSource(4))
+	st := &sim.State{Platform: plat, CoreTemps: make([]float64, 64)}
+	for i := range st.CoreTemps {
+		st.CoreTemps[i] = 60
+	}
+	for i := 0; i < 64; i++ {
+		st.Threads = append(st.Threads, sim.ThreadInfo{
+			ID: sim.ThreadID{Task: i / 4, Thread: i % 4}, Core: -1,
+			CPI: 1 + r.Float64(), AvgPower: 1 + 3*r.Float64(),
+		})
+	}
+	hp.Decide(st)
+	return hp, st, liveSet(st)
+}
+
+// exactPeak is the ring-averaged Algorithm 1 peak computed the direct way:
+// every occupied ring through PeakRingRotation, the worst ring wins.
+func exactPeak(t *testing.T, h *HotPotato, st *sim.State, live map[sim.ThreadID]sim.ThreadInfo) float64 {
+	t.Helper()
+	idle := st.Platform.Power.IdleWatts
+	base := make([]float64, st.Platform.NumCores())
+	for i := range base {
+		base[i] = idle
+	}
+	for r, ring := range h.rings {
+		total := 0.0
+		for _, e := range h.slots[r] {
+			if e.used {
+				total += h.threadPower(live, e.id)
+			} else {
+				total += idle
+			}
+		}
+		for _, c := range ring.Cores {
+			base[c] = total / float64(len(ring.Cores))
+		}
+	}
+	peak := h.calc.Model().Ambient()
+	for r, ring := range h.rings {
+		var slotWatts []float64
+		occupied := false
+		for _, e := range h.slots[r] {
+			w := idle
+			if e.used {
+				w = h.threadPower(live, e.id)
+				occupied = true
+			}
+			slotWatts = append(slotWatts, w)
+		}
+		if !occupied {
+			continue
+		}
+		p, err := h.ringEval.PeakRingRotation(h.tau, base, ring.Cores, slotWatts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		peak = max(peak, p)
+	}
+	return peak
+}
+
+// The verdict is the exact peak compared with T_DTM − Δ, also for
+// thresholds a hair either side of the peak, where the response table
+// defers to the exact evaluation — at every τ of the ladder.
+func TestHotPotatoVerdictMatchesExactPeak(t *testing.T) {
+	h, st, live := fullLoad8x8(t)
+	for _, tau := range []float64{0.125e-3, 0.5e-3, 4e-3} {
+		h.tau = tau
+		peak := exactPeak(t, h, st, live)
+		for _, off := range []float64{-1, -1e-9, 0, 1e-12, 1e-9, 1} {
+			h.tdtm = peak + off + h.delta
+			limit := h.tdtm - h.delta
+			if got, want := h.safe(st, live), peak < limit; got != want {
+				t.Errorf("τ=%g limit=peak%+g: safe = %v, exact %v", tau, off, got, want)
+			}
+		}
+	}
+}
+
+// Once the ring tables are cached, a verdict allocates nothing — rotating
+// or, with rotation stopped, through the static steady-state check.
+func TestHotPotatoVerdictZeroAllocs(t *testing.T) {
+	h, st, live := fullLoad8x8(t)
+	for _, rotate := range []bool{true, false} {
+		h.rotate = rotate
+		if a := testing.AllocsPerRun(20, func() { h.safe(st, live) }); a != 0 {
+			t.Errorf("rotate=%v: verdict allocates %v per call after warmup, want 0", rotate, a)
+		}
+	}
+}

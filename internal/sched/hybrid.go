@@ -63,7 +63,7 @@ func (h *HotPotatoDVFS) adjustFrequency(st *sim.State) {
 
 	// Safety at the current frequency (measurements were taken at it, so no
 	// projection needed).
-	if h.evalPeak(st, live) >= h.tdtm-h.delta {
+	if !h.safe(st, live) {
 		// Rotation has already been tightened by HotPotato.Decide; if it is
 		// at its floor and still unsafe, DVFS is the remaining knob.
 		if h.tau <= h.tauMin+1e-12 && h.freq > d.FMin {
@@ -78,7 +78,7 @@ func (h *HotPotatoDVFS) adjustFrequency(st *sim.State) {
 	}
 	next := d.StepUp(h.freq)
 	h.powerScale = h.projectionScale(next)
-	safe := h.evalPeak(st, live) < h.tdtm-h.delta
+	safe := h.safe(st, live)
 	h.powerScale = 1
 	if safe {
 		h.freq = next

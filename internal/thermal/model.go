@@ -410,9 +410,27 @@ func (m *Model) ExtendPowerInto(dst, coreWatts []float64) {
 // power vector, returning the temperature of all N nodes in °C. Works in
 // both solver modes; the zero-allocation twin is Stepper.SteadyStateInto.
 func (m *Model) SteadyState(coreWatts []float64) []float64 {
-	t := m.solveB(m.ExtendPower(coreWatts))
-	matrix.VecAddTo(t, m.steadyAmbient)
+	t := make([]float64, m.N)
+	m.SteadyStateTo(t, coreWatts)
 	return t
+}
+
+// SteadyStateTo is SteadyState into dst (length N). In dense mode it
+// allocates nothing and multiplies only the n core columns of B⁻¹: power
+// enters at core nodes only, so the other columns would add exact zeros
+// (matrix.Dense.MulVecPrefixTo), and the result is bit-identical to the full
+// product. Sparse mode allocates the banded solve's scratch; its
+// zero-allocation path is Stepper.SteadyStateInto.
+func (m *Model) SteadyStateTo(dst, coreWatts []float64) {
+	if len(coreWatts) != m.n {
+		panic(fmt.Sprintf("thermal: power vector length %d, want %d cores", len(coreWatts), m.n))
+	}
+	if m.sp != nil {
+		m.sp.solveInto(dst, m.ExtendPower(coreWatts), make([]float64, m.N-1))
+	} else {
+		m.binv.MulVecPrefixTo(dst, coreWatts)
+	}
+	matrix.VecAddTo(dst, m.steadyAmbient)
 }
 
 // InitialTemps returns the simulation starting point: every node at ambient

@@ -42,7 +42,7 @@ type Stepper struct {
 	solveScratch []float64 // banded-solve scratch, length N−1
 
 	// Scratch reused by StepTo/SteadyStateInto (never escapes a call).
-	p    []float64 // extended power vector, length N
+	p    []float64 // extended power vector of the sparse solve, length N
 	tss  []float64 // steady state for the step's power, length N
 	diff []float64 // T − T_steady, length N
 }
@@ -56,11 +56,11 @@ func (m *Model) NewStepper(dt float64) (*Stepper, error) {
 	}
 	s := &Stepper{
 		m: m, dt: dt,
-		p:    make([]float64, m.N),
 		tss:  make([]float64, m.N),
 		diff: make([]float64, m.N),
 	}
 	if m.sp != nil {
+		s.p = make([]float64, m.N)
 		// Tighter than matrix.DefaultKrylovTol: the estimate lives in the
 		// whitened space, where unwhitening by A^{−1/2} can amplify it by
 		// max 1/√a_ii (small silicon capacitances), and step errors
@@ -127,12 +127,12 @@ func (s *Stepper) StepTo(dst, t, coreWatts []float64) {
 // Model.SteadyState, in either solver mode. dst must not alias the
 // stepper's scratch. Not goroutine-safe (see the Stepper doc).
 func (s *Stepper) SteadyStateInto(dst, coreWatts []float64) {
-	s.m.ExtendPowerInto(s.p, coreWatts)
-	if s.m.sp != nil {
-		s.m.sp.solveInto(dst, s.p, s.solveScratch)
-	} else {
-		s.m.binv.MulVecTo(dst, s.p)
+	if s.m.sp == nil {
+		s.m.SteadyStateTo(dst, coreWatts)
+		return
 	}
+	s.m.ExtendPowerInto(s.p, coreWatts)
+	s.m.sp.solveInto(dst, s.p, s.solveScratch)
 	matrix.VecAddTo(dst, s.m.steadyAmbient)
 }
 
