@@ -361,6 +361,9 @@ type (
 	ExperimentOptions = experiments.Options
 	// OverheadResult reports scheduler run-time cost.
 	OverheadResult = experiments.OverheadResult
+	// RunDecideResult reports the whole-run mean cost of a HotPotato
+	// decision.
+	RunDecideResult = experiments.RunDecideResult
 )
 
 // Fig2 regenerates the paper's motivational example (Fig. 2a–c). The three
@@ -385,6 +388,12 @@ func Fig4b(opts ExperimentOptions, rates []float64, taskCount int, seed int64) (
 // wall-clock timings, which parallel cells would inflate — so its numbers
 // (and only its numbers) vary with the host machine and load.
 func Overhead() (*OverheadResult, error) { return experiments.Overhead() }
+
+// RunDecideOverhead measures the mean host time of HotPotato's Decide calls
+// over the eight 64-thread full-load runs of Fig. 4a — what a simulation
+// pays per decision, placement and τ adaptation included. Serial and
+// host-dependent like Overhead, and slower: it runs the simulations.
+func RunDecideOverhead() (*RunDecideResult, error) { return experiments.RunDecideOverhead() }
 
 // TraceRecorder collects per-slice traces (temperatures, powers,
 // frequencies) from a Simulation and exports CSV files and summaries.

@@ -197,9 +197,17 @@ func overhead() error {
 	if err != nil {
 		return err
 	}
-	if !emit("overhead", res) {
+	run, err := experiments.RunDecideOverhead()
+	if err != nil {
+		return err
+	}
+	if !emit("overhead", struct {
+		*experiments.OverheadResult
+		*experiments.RunDecideResult
+	}{res, run}) {
 		fmt.Println("Run-time overhead (64-core full load):")
 		fmt.Println(res)
+		fmt.Println(run)
 	}
 	return nil
 }

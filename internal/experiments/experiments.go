@@ -14,10 +14,10 @@
 // (see forEach). Options.Workers bounds the pool; the default is
 // runtime.GOMAXPROCS(0). Results are collected by cell index, never by
 // completion order, so output is bit-identical at any worker count — the
-// determinism contract docs/CONCURRENCY.md spells out. The two exceptions,
-// Overhead and AnalyticVsBrute, measure host wall-clock time and stay
-// deliberately serial: concurrent cells would contend for cores and corrupt
-// the very numbers they report.
+// determinism contract docs/CONCURRENCY.md spells out. The exceptions,
+// Overhead, RunDecideOverhead and AnalyticVsBrute, measure host wall-clock
+// time and stay deliberately serial: concurrent cells would contend for
+// cores and corrupt the very numbers they report.
 package experiments
 
 import (
